@@ -1,12 +1,15 @@
-// CrowdSky (Algorithm 1): the serial crowd-enabled skyline algorithm that
-// minimizes monetary cost with the dominating-set question generation and
-// pruning rules P1/P2/P3 (Section 3).
+// The CrowdSky family of crowd-enabled skyline algorithms (Sections 3-4):
+// Algorithm 1 with the dominating-set question generation and pruning
+// rules P1/P2/P3, and its two parallel schedules. All three run the same
+// skeleton — seed known crowd values, fold resume state, resolve tied
+// known rows, mark SKY_AK, evaluate every remaining tuple with a
+// TupleEvaluator, report — and differ only in their scheduling loop, i.e.
+// in which evaluators may ask a question in the same crowd round.
 #pragma once
 
 #include "algo/crowd_knowledge.h"
 #include "algo/evaluator.h"
 #include "algo/run_result.h"
-#include "audit/invariant_auditor.h"
 #include "crowd/session.h"
 #include "data/dataset.h"
 #include "skyline/dominance_structure.h"
@@ -27,57 +30,34 @@ AlgoResult RunCrowdSky(const Dataset& dataset,
 AlgoResult RunCrowdSky(const Dataset& dataset, CrowdSession* session,
                        const CrowdSkyOptions& options = {});
 
-namespace internal {
+/// ParallelDSet (Section 4.1): partitions R into groups of equal |DS(t)|
+/// (tuples in the same group cannot dominate each other, Lemma 3), then
+/// splits each group into sub-batches whose dominating sets are pairwise
+/// disjoint — removing dependency (C2) — and runs each sub-batch's
+/// evaluators in lockstep rounds. Question counts match the serial
+/// algorithm; only the round count shrinks.
+AlgoResult RunParallelDSet(const Dataset& dataset,
+                           const DominanceStructure& structure,
+                           CrowdSession* session,
+                           const CrowdSkyOptions& options = {});
 
-/// Lines 1-3 of Algorithm 1: resolves groups of tuples with identical
-/// known-attribute values by asking the crowd, marking strictly
-/// AC-dominated group members as complete non-skyline tuples. When
-/// `parallel_rounds` is true, independent groups share rounds.
-void ResolveKnownTies(const Dataset& dataset, CrowdKnowledge* knowledge,
-                      CrowdSession* session, CompletionState* completion,
-                      bool parallel_rounds);
+AlgoResult RunParallelDSet(const Dataset& dataset, CrowdSession* session,
+                           const CrowdSkyOptions& options = {});
 
-/// Fills the result's aggregate counters (including the robustness
-/// counters and the completeness report) from the session and knowledge.
-/// The driver must have pushed every undetermined tuple id into
-/// result->completeness.undetermined_tuples beforehand; FillStats sorts
-/// the list and derives the report's aggregate fields from it.
-void FillStats(const CrowdSession& session, const CrowdKnowledge& knowledge,
-               int64_t free_lookups, int num_tuples, AlgoResult* result);
+/// ParallelSL (Algorithm 2, Section 4.2): parallelization with skyline
+/// layers. A tuple's questions may start as soon as all its *direct*
+/// AK-dominators c(t) are complete — which transitively implies all of
+/// DS(t) is complete — so in every crowd round all ready tuples advance by
+/// one question simultaneously. Dependency (C2) is deliberately violated
+/// (overlapping dominating sets may probe redundantly), trading a few
+/// additional questions (~10% in the paper) for rounds that drop by up to
+/// two orders of magnitude.
+AlgoResult RunParallelSL(const Dataset& dataset,
+                         const DominanceStructure& structure,
+                         CrowdSession* session,
+                         const CrowdSkyOptions& options = {});
 
-/// The end-of-run half of CrowdSkyOptions::audit, shared by the Serial,
-/// ParallelDSet and ParallelSL drivers: appends to `report` the audits of
-/// every per-attribute preference graph, the session accounting, the AMT
-/// cost formula, the dominance structure against brute-force dominance,
-/// and the result/completion consistency.
-void AuditFinalState(const Dataset& dataset,
-                     const DominanceStructure& structure,
-                     const CrowdKnowledge& knowledge,
-                     const CrowdSession& session,
-                     const CompletionState& completion,
-                     const AlgoResult& result, audit::AuditReport* report);
+AlgoResult RunParallelSL(const Dataset& dataset, CrowdSession* session,
+                         const CrowdSkyOptions& options = {});
 
-/// Folds recovered state into a resuming driver, before it executes
-/// anything: rebuilds crowd knowledge from the folded journal prefix (one
-/// Record per resolved pair record, in journal order — the original run's
-/// Record order), then restores the checkpoint's completion bitsets,
-/// partial skyline / undetermined lists and free-lookup ledger. With the
-/// knowledge rebuilt, the re-executed pre-evaluation phases (tie
-/// resolution, probes) find every previously-crowdsourced relation already
-/// in the tree and pay nothing; the completion bitsets make the
-/// evaluation loops skip finished tuples. No-op on `resume == nullptr`.
-void ApplyResumeState(const DriverResumeState* resume, int num_tuples,
-                      CrowdKnowledge* knowledge, CompletionState* completion,
-                      AlgoResult* result, int64_t* free_lookups);
-
-/// Seeds the preference tree with the relations derivable from crowd
-/// values the machine already knows (options.known_crowd_values), so only
-/// pairs involving a genuinely missing value are crowdsourced. Returns
-/// the number of seeded relations (chain edges; the closure implies the
-/// rest). No-op when every crowd value is missing.
-int64_t SeedKnownCrowdValues(const Dataset& dataset,
-                             const CrowdSkyOptions& options,
-                             CrowdKnowledge* knowledge);
-
-}  // namespace internal
 }  // namespace crowdsky

@@ -4,6 +4,27 @@
 
 namespace crowdsky {
 
+void ReduceDominatingSet(const PruningConfig& pruning,
+                         const CompletionState& completion,
+                         const CrowdKnowledge& knowledge, DynamicBitset* ds) {
+  if (pruning.use_p1) {
+    // P1 (Corollary 1): a complete non-skyline dominator u never decides
+    // t's fate — the tuple that eliminated u is also in DS(t) (Lemma 2).
+    ds->AndNotWith(completion.nonskyline);
+  }
+  if (pruning.use_p2) {
+    // P2 (Corollary 2): only SKY_AC(DS(t)) needs to be compared with t.
+    const std::vector<int> members = ds->ToVector();
+    if (members.size() > 1) {
+      for (const int u : members) {
+        if (knowledge.PrunedFromAcSkyline(*ds, members, u)) {
+          ds->Reset(static_cast<size_t>(u));
+        }
+      }
+    }
+  }
+}
+
 TupleEvaluator::TupleEvaluator(int tuple, const DominanceStructure& structure,
                                CrowdKnowledge* knowledge,
                                CrowdSession* session,
@@ -19,25 +40,6 @@ TupleEvaluator::TupleEvaluator(int tuple, const DominanceStructure& structure,
       ds_(structure.dominator_bits(tuple)) {
   CROWDSKY_CHECK(knowledge != nullptr && session != nullptr &&
                  completion != nullptr);
-}
-
-void TupleEvaluator::Refresh() {
-  if (pruning_.use_p1) {
-    // P1 (Corollary 1): a complete non-skyline dominator u never decides
-    // t's fate — the tuple that eliminated u is also in DS(t) (Lemma 2).
-    ds_.AndNotWith(completion_->nonskyline);
-  }
-  if (pruning_.use_p2) {
-    // P2 (Corollary 2): only SKY_AC(DS(t)) needs to be compared with t.
-    const std::vector<int> members = Members();
-    if (members.size() > 1) {
-      for (const int u : members) {
-        if (knowledge_->PrunedFromAcSkyline(ds_, members, u)) {
-          ds_.Reset(static_cast<size_t>(u));
-        }
-      }
-    }
-  }
 }
 
 void TupleEvaluator::BuildProbePairs() {

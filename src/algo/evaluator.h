@@ -1,7 +1,9 @@
 // TupleEvaluator: Algorithm 1's per-tuple inner loop (lines 9-26) as a
-// resumable state machine, shared by the Serial, ParallelDSet and
-// ParallelSL drivers — the three only differ in *which* evaluators may pay
-// for a question in the same crowd round (Section 4).
+// resumable state machine. The Serial, ParallelDSet and ParallelSL drivers
+// (crowdsky_algorithm.h) share one run skeleton that creates an evaluator
+// per undecided tuple and records the tuple's fate once it is done(); each
+// driver's own scheduling loop only decides *which* evaluators may Step()
+// — pay for a question — in the same crowd round (Section 4).
 //
 // Lifecycle per tuple t:
 //   1. start from DS(t);
@@ -56,6 +58,14 @@ struct CompletionState {
   }
 };
 
+/// P1 + P2 reduction of a dominating set `ds`: P1 (Corollary 1) drops
+/// complete non-skyline dominators, P2 (Corollary 2) reduces the rest to
+/// SKY_AC(ds) as far as the preference tree knows it. Evaluators refresh
+/// DS(t) with it; ParallelDSet batches on the same *effective* sets.
+void ReduceDominatingSet(const PruningConfig& pruning,
+                         const CompletionState& completion,
+                         const CrowdKnowledge& knowledge, DynamicBitset* ds);
+
 /// \brief Resumable evaluation of one tuple's skyline membership.
 class TupleEvaluator {
  public:
@@ -100,7 +110,9 @@ class TupleEvaluator {
   enum class AskMode { kProbe, kQuery };
 
   /// P1 + P2 refresh of the current dominating-set members.
-  void Refresh();
+  void Refresh() {
+    ReduceDominatingSet(pruning_, *completion_, *knowledge_, &ds_);
+  }
   void BuildProbePairs();
   /// Asks crowd-attribute questions for (u, v) per the multi-attribute
   /// strategy; records answers; sets budget_aborted_ when the session's

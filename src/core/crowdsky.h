@@ -4,8 +4,6 @@
 #include "algo/baseline_sort.h"        // IWYU pragma: export
 #include "algo/crowdsky_algorithm.h"   // IWYU pragma: export
 #include "algo/metrics.h"              // IWYU pragma: export
-#include "algo/parallel_dset.h"        // IWYU pragma: export
-#include "algo/parallel_sl.h"          // IWYU pragma: export
 #include "algo/unary.h"                // IWYU pragma: export
 #include "audit/invariant_auditor.h"   // IWYU pragma: export
 #include "common/result.h"             // IWYU pragma: export

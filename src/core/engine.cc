@@ -7,8 +7,6 @@
 
 #include "algo/baseline_sort.h"
 #include "algo/crowdsky_algorithm.h"
-#include "algo/parallel_dset.h"
-#include "algo/parallel_sl.h"
 #include "algo/unary.h"
 #include "audit/invariant_auditor.h"
 #include "common/random.h"
@@ -125,6 +123,11 @@ const char* AlgorithmName(Algorithm a) {
   return "?";
 }
 
+bool IsCrowdSkyFamily(Algorithm a) {
+  return a == Algorithm::kCrowdSkySerial || a == Algorithm::kParallelDSet ||
+         a == Algorithm::kParallelSL;
+}
+
 Result<Algorithm> ParseAlgorithm(const std::string& name) {
   for (const Algorithm a :
        {Algorithm::kBaselineSort, Algorithm::kBitonicSort,
@@ -223,10 +226,7 @@ Result<EngineResult> RunSkylineQuery(const Dataset& dataset,
   if (options.max_questions < 0) {
     return Status::InvalidArgument("max_questions must be non-negative");
   }
-  const bool crowdsky_family =
-      options.algorithm == Algorithm::kCrowdSkySerial ||
-      options.algorithm == Algorithm::kParallelDSet ||
-      options.algorithm == Algorithm::kParallelSL;
+  const bool crowdsky_family = IsCrowdSkyFamily(options.algorithm);
   if (options.max_questions > 0 && !crowdsky_family) {
     return Status::InvalidArgument(
         "question budgets are only supported by the CrowdSky-family "

@@ -46,6 +46,11 @@ enum class Algorithm {
 /// Stable display name ("Baseline", "CrowdSky", ...).
 const char* AlgorithmName(Algorithm a);
 
+/// True for Algorithm 1 and its two parallel schedules: the algorithms with
+/// a best-effort path (question budgets, the governor, imported answers,
+/// checkpoints, sharding) that the baselines and the unary method lack.
+bool IsCrowdSkyFamily(Algorithm a);
+
 /// Inverse of AlgorithmName (exact match); fails on unknown names. Used by
 /// out-of-process callers (shard children) that receive the algorithm as a
 /// spec-file string.

@@ -68,9 +68,7 @@ Status ValidateOptions(const Dataset& dataset, const DistOptions& options) {
   if (options.run_dir.empty()) {
     return Status::InvalidArgument("dist run_dir is required");
   }
-  const Algorithm algo = options.engine.algorithm;
-  if (algo != Algorithm::kCrowdSkySerial &&
-      algo != Algorithm::kParallelDSet && algo != Algorithm::kParallelSL) {
+  if (!IsCrowdSkyFamily(options.engine.algorithm)) {
     return Status::InvalidArgument(
         "sharded execution supports the CrowdSky-family algorithms only "
         "(the merge needs their best-effort/candidate semantics)");

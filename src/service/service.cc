@@ -21,12 +21,6 @@
 namespace crowdsky::service {
 namespace {
 
-bool IsCrowdSkyFamily(Algorithm algorithm) {
-  return algorithm == Algorithm::kCrowdSkySerial ||
-         algorithm == Algorithm::kParallelDSet ||
-         algorithm == Algorithm::kParallelSL;
-}
-
 std::size_t Idx(int i) { return static_cast<std::size_t>(i); }
 
 /// The query's configured label, or "q<id>".

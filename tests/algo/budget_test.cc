@@ -6,8 +6,6 @@
 
 #include "algo/crowdsky_algorithm.h"
 #include "algo/metrics.h"
-#include "algo/parallel_dset.h"
-#include "algo/parallel_sl.h"
 #include "core/engine.h"
 #include "crowd/oracle.h"
 #include "data/generator.h"

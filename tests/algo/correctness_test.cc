@@ -8,8 +8,6 @@
 
 #include "algo/baseline_sort.h"
 #include "algo/crowdsky_algorithm.h"
-#include "algo/parallel_dset.h"
-#include "algo/parallel_sl.h"
 #include "crowd/oracle.h"
 #include "data/generator.h"
 #include "skyline/algorithms.h"

@@ -5,7 +5,6 @@
 
 #include "algo/crowdsky_algorithm.h"
 #include "algo/metrics.h"
-#include "algo/parallel_sl.h"
 #include "common/random.h"
 #include "crowd/oracle.h"
 #include "data/generator.h"

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "algo/crowdsky_algorithm.h"
-#include "algo/parallel_sl.h"
 #include "crowd/oracle.h"
 #include "data/generator.h"
 #include "data/toy.h"

@@ -13,8 +13,6 @@
 
 #include "algo/crowdsky_algorithm.h"
 #include "algo/evaluator.h"
-#include "algo/parallel_dset.h"
-#include "algo/parallel_sl.h"
 #include "core/engine.h"
 #include "crowd/oracle.h"
 #include "crowd/session.h"
