@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
   options.marketplace.faults.transient_error_rate = 0.05;
   options.marketplace.faults.worker_no_show_rate = 0.10;
   options.durability.dir = journal_dir.string();
-  options.crowdsky.audit = true;  // also proves counters == ledgers
+  options.crowdsky.audit = true;
   options.obs.level = obs::ObsLevel::kFull;
   options.obs.trace_path = trace_path;
   options.obs.metrics_path = metrics_path;

@@ -113,8 +113,8 @@ struct CrowdSkyOptions {
   /// when a journal directory is configured). Not owned.
   DriverCheckpointHook* checkpoint_hook = nullptr;
   const DriverResumeState* resume = nullptr;
-  /// Observability sink (src/obs): drivers emit phase TraceSpans through
-  /// it and the session mirrors its ledgers into its counters. Null
+  /// Observability sink (src/obs): drivers and the session emit TraceSpans
+  /// through it (the engine publishes the metrics after the run). Null
   /// (default) disables everything — the instrumented paths reduce to one
   /// null check, so a run without an observer is bit-identical to the
   /// pre-observability code. Not owned; must outlive the run.

@@ -238,10 +238,11 @@ struct EngineResult {
   /// What the observability layer recorded (all-default when
   /// EngineOptions::obs.level was kDisabled). `counters` and `gauges` are
   /// sorted by name; histograms appear flattened as `<name>_count` /
-  /// `<name>_sum` counter samples. The `crowdsky.*` and `journal.*`
-  /// counters are deterministic (the invariant auditor proves them equal
-  /// to the session/journal ledgers when auditing is on); `pool.*` values
-  /// and `trace_events` depend on scheduling and wall clock.
+  /// `<name>_sum` counter samples. The `crowdsky.*`, `journal.*` and
+  /// `governor.*` metrics are deterministic: each is read once, at the end
+  /// of the run, from the session, journal or governor ledger it names;
+  /// `pool.*` values and `trace_events` depend on scheduling and wall
+  /// clock.
   struct ObsInfo {
     bool enabled = false;
     bool tracing = false;

@@ -2,14 +2,14 @@
 // and the drivers. It bundles the deterministic metric registry with the
 // (non-deterministic) trace collector under one observability level:
 //
-//   kDisabled  no registry access, no spans — instrumented code sees only
-//              null Counter* handles and default (no-op) TraceSpans, so
-//              the cost is one predictable branch per site,
-//   kCounters  counters/gauges/histograms collected, tracing off,
+//   kDisabled  no observer is created at all — instrumented code holds a
+//              null RunObserver* and SpanIf hands out no-op TraceSpans,
+//   kCounters  the metric catalog is published at the end of the run,
+//              tracing off,
 //   kFull      counters plus TraceSpans (Chrome-trace exportable).
 //
-// Instrumented components resolve their Counter* handles once (at attach
-// time) via counter(); the hot path never touches the registry map.
+// Metrics are written once, after the run, from the ledgers (see
+// obs/metrics.h); during the run the observer only collects spans.
 #pragma once
 
 #include "common/macros.h"
@@ -42,19 +42,6 @@ class RunObserver {
   const MetricRegistry& metrics() const { return metrics_; }
   TraceCollector& trace() { return trace_; }
   const TraceCollector& trace() const { return trace_; }
-
-  /// Handle resolution honoring the level: null when counters are off, so
-  /// instrumentation sites can use obs::Add / obs::Observe unconditionally.
-  Counter* counter(std::string_view name) {
-    return counters_enabled() ? metrics_.FindOrCreateCounter(name) : nullptr;
-  }
-  Histogram* histogram(std::string_view name) {
-    return counters_enabled() ? metrics_.FindOrCreateHistogram(name)
-                              : nullptr;
-  }
-  Gauge* gauge(std::string_view name) {
-    return counters_enabled() ? metrics_.FindOrCreateGauge(name) : nullptr;
-  }
 
   /// A live span when tracing is on, a no-op span otherwise.
   TraceSpan Span(const char* name) {
