@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "core/crowdsky.h"
 
 namespace crowdsky {
@@ -38,6 +40,24 @@ TEST(EngineTest, RejectsDynamicVotingWithOneWorker) {
   EngineOptions opt;
   opt.workers_per_question = 1;
   opt.dynamic_voting = true;
+  EXPECT_TRUE(RunSkylineQuery(Small(), opt).status().IsInvalidArgument());
+}
+
+TEST(EngineTest, RejectsZeroQuestionsPerHit) {
+  EngineOptions opt;
+  opt.cost_model.questions_per_hit = 0;
+  EXPECT_TRUE(RunSkylineQuery(Small(), opt).status().IsInvalidArgument());
+}
+
+TEST(EngineTest, RejectsNanReward) {
+  EngineOptions opt;
+  opt.cost_model.reward_per_hit = std::nan("");
+  EXPECT_TRUE(RunSkylineQuery(Small(), opt).status().IsInvalidArgument());
+}
+
+TEST(EngineTest, RejectsNegativeReward) {
+  EngineOptions opt;
+  opt.cost_model.reward_per_hit = -1.0;
   EXPECT_TRUE(RunSkylineQuery(Small(), opt).status().IsInvalidArgument());
 }
 

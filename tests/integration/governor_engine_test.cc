@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 
 #include "audit/invariant_auditor.h"
 #include "core/crowdsky.h"
@@ -246,6 +247,22 @@ TEST(GovernorEngineTest, NegativeLimitsAreRejected) {
   opt = Governed(Algorithm::kParallelSL);
   opt.governor.deadline_seconds = -0.5;
   EXPECT_TRUE(RunSkylineQuery(ds, opt).status().IsInvalidArgument());
+}
+
+// NaN compares false against every bound, so a `< 0` check alone lets it
+// through to the governor's constructor, which aborts on it.
+TEST(GovernorEngineTest, NanCostCapIsRejected) {
+  EngineOptions opt = Governed(Algorithm::kParallelSL);
+  opt.governor.max_rounds = 5;
+  opt.governor.max_cost_usd = std::nan("");
+  EXPECT_TRUE(RunSkylineQuery(Small(), opt).status().IsInvalidArgument());
+}
+
+TEST(GovernorEngineTest, NanDeadlineIsRejected) {
+  EngineOptions opt = Governed(Algorithm::kParallelSL);
+  opt.governor.max_rounds = 5;
+  opt.governor.deadline_seconds = std::nan("");
+  EXPECT_TRUE(RunSkylineQuery(Small(), opt).status().IsInvalidArgument());
 }
 
 TEST(GovernorEngineTest, GovernorCountersSurfaceInObservability) {

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -200,6 +201,15 @@ TEST(ServiceDifferentialTest, TightBudgetSliceTripsTheDollarCap) {
               TerminationReason::kDollarCap);
     EXPECT_LE(outcome.result.algo.termination.cost_spent_usd, 0.15);
   }
+}
+
+// An infinite budget would slice into infinite per-query dollar caps.
+TEST(ServiceDifferentialTest, RejectsNonFiniteTotalBudget) {
+  std::vector<Dataset> datasets;
+  const std::vector<ServiceQuery> queries = MixedQueries(2, &datasets);
+  ServiceOptions options;
+  options.total_budget_usd = std::numeric_limits<double>::infinity();
+  EXPECT_TRUE(RunService(queries, options).status().IsInvalidArgument());
 }
 
 TEST(ServiceDifferentialTest, ValidatesSubmissions) {
