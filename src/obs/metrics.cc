@@ -1,6 +1,7 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 
@@ -22,9 +23,10 @@ std::string Sanitize(const std::string& name) {
 
 std::string FormatDouble(double v) {
   char buf[40];
-  const auto as_int = static_cast<long long>(v);
-  if (static_cast<double>(as_int) == v && v > -1e15 && v < 1e15) {
-    std::snprintf(buf, sizeof(buf), "%lld", as_int);
+  // Range check first: casting a double outside long long's range (or a
+  // NaN, which fails both comparisons) to an integer is undefined.
+  if (v > -1e15 && v < 1e15 && v == std::trunc(v)) {
+    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
   } else {
     std::snprintf(buf, sizeof(buf), "%.17g", v);
   }
