@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 
@@ -110,6 +111,30 @@ class Fields {
       return fallback;
     }
     return v;
+  }
+
+  /// Int() for a field stored as int: a value outside int's range would
+  /// narrow silently (2^32 + 1 becomes 1), so it is a decode error.
+  int Int32(const std::string& key, int fallback = 0) {
+    const int64_t v = Int(key, fallback);
+    if (v < std::numeric_limits<int>::min() ||
+        v > std::numeric_limits<int>::max()) {
+      Fail("integer out of range for '" + key + "': " + Str(key));
+      return fallback;
+    }
+    return static_cast<int>(v);
+  }
+
+  /// An enum stored as its integer code: a code outside [0, last] is a
+  /// decode error, never a cast to an invalid enumerator.
+  template <typename E>
+  E Enum(const std::string& key, E fallback, E last) {
+    const int v = Int32(key, static_cast<int>(fallback));
+    if (v < 0 || v > static_cast<int>(last)) {
+      Fail("unknown code for '" + key + "': " + Str(key));
+      return fallback;
+    }
+    return static_cast<E>(v);
   }
 
   bool Bool(const std::string& key, bool fallback = false) {
@@ -270,9 +295,9 @@ Result<ShardSpec> DecodeShardSpec(const std::string& text) {
     return Status::IOError("not a crowdsky shard spec");
   }
   ShardSpec spec;
-  spec.shard = static_cast<int>(f.Int("shard"));
-  spec.shards = static_cast<int>(f.Int("shards", 1));
-  spec.generation = static_cast<int>(f.Int("generation"));
+  spec.shard = f.Int32("shard");
+  spec.shards = f.Int32("shards", 1);
+  spec.generation = f.Int32("generation");
   const std::string partition = f.Str("partition", "round_robin");
   if (partition == "round_robin") {
     spec.partition = PartitionScheme::kRoundRobin;
@@ -285,23 +310,23 @@ Result<ShardSpec> DecodeShardSpec(const std::string& text) {
   }
   spec.dataset_csv = f.Str("dataset_csv");
   spec.shard_dir = f.Str("shard_dir");
-  spec.heartbeat_fd = static_cast<int>(f.Int("heartbeat_fd", -1));
+  spec.heartbeat_fd = f.Int32("heartbeat_fd", -1);
 
   EngineOptions& e = spec.engine;
   CROWDSKY_ASSIGN_OR_RETURN(e.algorithm, ParseAlgorithm(f.Str("algorithm")));
-  e.oracle = static_cast<OracleKind>(f.Int("oracle"));
+  e.oracle = f.Enum("oracle", OracleKind::kPerfect, OracleKind::kMarketplace);
   e.worker.p_correct = f.Double("worker.p_correct", e.worker.p_correct);
   e.worker.p_stddev = f.Double("worker.p_stddev", e.worker.p_stddev);
   e.worker.spammer_fraction =
       f.Double("worker.spammer_fraction", e.worker.spammer_fraction);
   e.worker.unary_sigma = f.Double("worker.unary_sigma", e.worker.unary_sigma);
-  e.workers_per_question =
-      static_cast<int>(f.Int("workers_per_question", e.workers_per_question));
+  e.workers_per_question = f.Int32("workers_per_question",
+                                   e.workers_per_question);
   e.dynamic_voting = f.Bool("dynamic_voting");
   e.seed = static_cast<uint64_t>(f.Int("seed", 42));
   e.max_questions = f.Int("max_questions");
   e.marketplace.pool_size =
-      static_cast<int>(f.Int("market.pool_size", e.marketplace.pool_size));
+      f.Int32("market.pool_size", e.marketplace.pool_size);
   e.marketplace.population.p_correct =
       f.Double("market.p_correct", e.marketplace.population.p_correct);
   e.marketplace.population.p_stddev =
@@ -310,8 +335,8 @@ Result<ShardSpec> DecodeShardSpec(const std::string& text) {
       "market.spammer_fraction", e.marketplace.population.spammer_fraction);
   e.marketplace.population.unary_sigma =
       f.Double("market.unary_sigma", e.marketplace.population.unary_sigma);
-  e.marketplace.gold_questions = static_cast<int>(
-      f.Int("market.gold_questions", e.marketplace.gold_questions));
+  e.marketplace.gold_questions =
+      f.Int32("market.gold_questions", e.marketplace.gold_questions);
   e.marketplace.qualification_threshold =
       f.Double("market.qualification_threshold",
                e.marketplace.qualification_threshold);
@@ -320,38 +345,37 @@ Result<ShardSpec> DecodeShardSpec(const std::string& text) {
       f.Double("faults.transient_error_rate");
   e.marketplace.faults.hit_expiration_rate =
       f.Double("faults.hit_expiration_rate");
-  e.marketplace.faults.hit_expiration_rounds = static_cast<int>(f.Int(
+  e.marketplace.faults.hit_expiration_rounds = f.Int32(
       "faults.hit_expiration_rounds",
-      e.marketplace.faults.hit_expiration_rounds));
+      e.marketplace.faults.hit_expiration_rounds);
   e.marketplace.faults.worker_no_show_rate =
       f.Double("faults.worker_no_show_rate");
   e.marketplace.faults.straggler_rate = f.Double("faults.straggler_rate");
-  e.marketplace.faults.straggler_delay_rounds = static_cast<int>(f.Int(
+  e.marketplace.faults.straggler_delay_rounds = f.Int32(
       "faults.straggler_delay_rounds",
-      e.marketplace.faults.straggler_delay_rounds));
+      e.marketplace.faults.straggler_delay_rounds);
   e.marketplace.seed = static_cast<uint64_t>(f.Int("market.seed"));
-  e.retry.max_retries =
-      static_cast<int>(f.Int("retry.max_retries", e.retry.max_retries));
-  e.retry.backoff_base_rounds = static_cast<int>(
-      f.Int("retry.backoff_base_rounds", e.retry.backoff_base_rounds));
-  e.retry.max_backoff_rounds = static_cast<int>(
-      f.Int("retry.max_backoff_rounds", e.retry.max_backoff_rounds));
+  e.retry.max_retries = f.Int32("retry.max_retries", e.retry.max_retries);
+  e.retry.backoff_base_rounds =
+      f.Int32("retry.backoff_base_rounds", e.retry.backoff_base_rounds);
+  e.retry.max_backoff_rounds =
+      f.Int32("retry.max_backoff_rounds", e.retry.max_backoff_rounds);
   e.cost_model.reward_per_hit =
       f.Double("cost.reward_per_hit", e.cost_model.reward_per_hit);
-  e.cost_model.workers_per_question = static_cast<int>(
-      f.Int("cost.workers_per_question", e.cost_model.workers_per_question));
-  e.cost_model.questions_per_hit = static_cast<int>(
-      f.Int("cost.questions_per_hit", e.cost_model.questions_per_hit));
+  e.cost_model.workers_per_question =
+      f.Int32("cost.workers_per_question", e.cost_model.workers_per_question);
+  e.cost_model.questions_per_hit =
+      f.Int32("cost.questions_per_hit", e.cost_model.questions_per_hit);
   e.governor.max_rounds = f.Int("governor.max_rounds");
   e.governor.max_cost_usd = f.Double("governor.max_cost_usd");
-  e.governor.stall_rounds = static_cast<int>(f.Int("governor.stall_rounds"));
+  e.governor.stall_rounds = f.Int32("governor.stall_rounds");
   e.durability.dir = spec.shard_dir;
   e.durability.resume = f.Bool("durability.resume");
-  e.durability.sync = static_cast<persist::SyncMode>(f.Int(
-      "durability.sync", static_cast<int>(persist::SyncMode::kFlush)));
+  e.durability.sync = f.Enum("durability.sync", persist::SyncMode::kFlush,
+                              persist::SyncMode::kFsync);
   e.durability.checkpoint_every_rounds =
-      static_cast<int>(f.Int("durability.checkpoint_every_rounds",
-                             e.durability.checkpoint_every_rounds));
+      f.Int32("durability.checkpoint_every_rounds",
+              e.durability.checkpoint_every_rounds);
   e.crowdsky.pruning.use_p1 = f.Bool("pruning.use_p1", true);
   e.crowdsky.pruning.use_p2 = f.Bool("pruning.use_p2", true);
   e.crowdsky.pruning.use_p3 = f.Bool("pruning.use_p3", true);
@@ -360,9 +384,11 @@ Result<ShardSpec> DecodeShardSpec(const std::string& text) {
   e.crowdsky.pruning.use_transitivity =
       f.Bool("pruning.use_transitivity", true);
   e.crowdsky.contradiction_policy =
-      static_cast<ContradictionPolicy>(f.Int("contradiction_policy"));
+      f.Enum("contradiction_policy", ContradictionPolicy::kFirstWins,
+             ContradictionPolicy::kFail);
   e.crowdsky.multi_attr =
-      static_cast<MultiAttributeStrategy>(f.Int("multi_attr"));
+      f.Enum("multi_attr", MultiAttributeStrategy::kAllAtOnce,
+             MultiAttributeStrategy::kRoundRobin);
   e.crowdsky.audit = f.Bool("audit");
 
   spec.kill_at_round = f.Int("fault.kill_at_round");

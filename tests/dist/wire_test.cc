@@ -175,6 +175,23 @@ TEST(WireTest, RejectsForeignAndCorruptInput) {
   EXPECT_FALSE(DecodeShardResult(rtext).ok());
 }
 
+// Enum codes outside their enumerator range, and integers that do not fit
+// the int field they are stored in, are decode errors rather than casts.
+TEST(WireTest, RejectsOutOfRangeCodesAndNarrowedIntegers) {
+  const std::string base = EncodeShardSpec(ShardSpec{});
+  ASSERT_TRUE(DecodeShardSpec(base).ok());
+  for (const char* bad :
+       {"oracle=7", "oracle=-1", "durability.sync=9",
+        "contradiction_policy=5", "multi_attr=2",
+        "workers_per_question=4294967297", "shard=-2147483649",
+        "retry.max_retries=2147483648", "cost.questions_per_hit=4294967301",
+        "durability.checkpoint_every_rounds=9223372036854775807"}) {
+    const Result<ShardSpec> decoded =
+        DecodeShardSpec(base + bad + "\n");
+    EXPECT_TRUE(decoded.status().IsIOError()) << bad;
+  }
+}
+
 TEST(WireTest, WriteFileAtomicLeavesNoTmpAndRoundTrips) {
   const std::string path = crowdsky::testing::FreshTempPath("wire.txt");
   ASSERT_TRUE(WriteFileAtomic(path, "hello\nworld\n").ok());
