@@ -3,6 +3,10 @@
 // closure maintenance, and full algorithm runs at a fixed size.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "common/thread_pool.h"
 #include "core/crowdsky.h"
 
@@ -145,6 +149,53 @@ void BM_PreferenceGraphChainInsert(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * (n - 1));
 }
 BENCHMARK(BM_PreferenceGraphChainInsert)->Arg(256)->Arg(1024);
+
+// The insert path on an answer stream shaped like a ParallelSL run's: 2n
+// answers about a latent total order (a seeded permutation), half of them
+// on uniform pairs and half on pairs within n/64 ranks of each other, each
+// flipped with probability 0.05 as a noisy majority would. Unlike the
+// chain above, these inserts fan out and many are implied or
+// contradictory. Times graph construction plus the replay.
+void BM_PreferenceGraphNoisyPreorder(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  Rng rng(20160315);
+  std::vector<int> rank(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) rank[static_cast<size_t>(i)] = i;
+  std::shuffle(rank.begin(), rank.end(), rng);
+  std::vector<int> at_rank(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    at_rank[static_cast<size_t>(rank[static_cast<size_t>(i)])] = i;
+  }
+  const int window = std::max(1, n / 64);
+  std::vector<std::pair<int, int>> answers;  // (preferred, other)
+  while (static_cast<int>(answers.size()) < 2 * n) {
+    const int u = static_cast<int>(rng.NextBounded(static_cast<uint64_t>(n)));
+    int v = static_cast<int>(rng.NextBounded(static_cast<uint64_t>(n)));
+    if (rng.Bernoulli(0.5)) {
+      const int r = rank[static_cast<size_t>(u)] - window +
+                    static_cast<int>(rng.NextBounded(
+                        static_cast<uint64_t>(2 * window + 1)));
+      if (r < 0 || r >= n) continue;
+      v = at_rank[static_cast<size_t>(r)];
+    }
+    if (u == v) continue;
+    const bool u_first =
+        (rank[static_cast<size_t>(u)] < rank[static_cast<size_t>(v)]) !=
+        rng.Bernoulli(0.05);
+    answers.emplace_back(u_first ? u : v, u_first ? v : u);
+  }
+  for (auto _ : state) {
+    PreferenceGraph g(n);
+    for (const auto& [a, b] : answers) g.AddPreference(a, b).CheckOK();
+    benchmark::DoNotOptimize(g.edge_count());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(answers.size()));
+}
+BENCHMARK(BM_PreferenceGraphNoisyPreorder)
+    ->Arg(2048)
+    ->Arg(10000)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_PreferenceGraphReachability(benchmark::State& state) {
   const int n = 2048;

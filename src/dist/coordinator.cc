@@ -210,6 +210,7 @@ Result<DistResult> RunShardedSkylineQuery(const Dataset& dataset,
       return Status::FailedPrecondition(
           "shard " + std::to_string(i) + " failed: " + shard.error);
     }
+    CROWDSKY_RETURN_NOT_OK(ValidateShardResult(shard, dataset.size()));
     report.state = ShardReport::State::kCompleted;
     report.candidates = shard.skyline;
     report.undetermined = shard.undetermined;

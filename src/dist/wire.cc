@@ -8,6 +8,7 @@
 #include <fstream>
 #include <limits>
 #include <map>
+#include <set>
 #include <sstream>
 
 #include "persist/recovery.h"
@@ -63,6 +64,33 @@ void PutI64s(std::string* out, const std::string& key,
 
 // --- decoding helpers ----------------------------------------------------
 
+bool FitsInt(int64_t v) {
+  return v >= std::numeric_limits<int>::min() &&
+         v <= std::numeric_limits<int>::max();
+}
+
+/// Parses all of `text` as a base-10 int64: nothing may follow the number.
+bool ParseInt64(const std::string& text, int64_t* out) {
+  errno = 0;
+  char* end = nullptr;
+  const long long v = std::strtoll(text.c_str(), &end, 10);
+  if (errno != 0 || end == text.c_str() || *end != '\0') return false;
+  *out = v;
+  return true;
+}
+
+/// ParseInt64() for an int that must start with '-' or a digit: no blank
+/// or '+' before it, and nothing out of int's range.
+bool ParseInt(const std::string& text, int* out) {
+  int64_t v = 0;
+  if (text.empty() || (text[0] != '-' && (text[0] < '0' || text[0] > '9')) ||
+      !ParseInt64(text, &v) || !FitsInt(v)) {
+    return false;
+  }
+  *out = static_cast<int>(v);
+  return true;
+}
+
 /// Key -> value map plus typed accessors; the first parse error sticks.
 class Fields {
  public:
@@ -90,10 +118,8 @@ class Fields {
   int64_t Int(const std::string& key, int64_t fallback = 0) {
     const auto it = map_.find(key);
     if (it == map_.end()) return fallback;
-    errno = 0;
-    char* end = nullptr;
-    const long long v = std::strtoll(it->second.c_str(), &end, 10);
-    if (errno != 0 || end == it->second.c_str() || *end != '\0') {
+    int64_t v = 0;
+    if (!ParseInt64(it->second, &v)) {
       Fail("bad integer for '" + key + "': " + it->second);
       return fallback;
     }
@@ -117,8 +143,7 @@ class Fields {
   /// narrow silently (2^32 + 1 becomes 1), so it is a decode error.
   int Int32(const std::string& key, int fallback = 0) {
     const int64_t v = Int(key, fallback);
-    if (v < std::numeric_limits<int>::min() ||
-        v > std::numeric_limits<int>::max()) {
+    if (!FitsInt(v)) {
       Fail("integer out of range for '" + key + "': " + Str(key));
       return fallback;
     }
@@ -141,9 +166,16 @@ class Fields {
     return Int(key, fallback ? 1 : 0) != 0;
   }
 
+  /// Int64s() for a list stored as ints, range-checked like Int32().
   std::vector<int> Ids(const std::string& key) {
     std::vector<int> out;
-    for (const int64_t v : Int64s(key)) out.push_back(static_cast<int>(v));
+    for (const int64_t v : Int64s(key)) {
+      if (!FitsInt(v)) {
+        Fail("integer out of range in '" + key + "': " + Str(key));
+        return {};
+      }
+      out.push_back(static_cast<int>(v));
+    }
     return out;
   }
 
@@ -154,10 +186,8 @@ class Fields {
     std::istringstream in(v);
     std::string item;
     while (std::getline(in, item, ',')) {
-      errno = 0;
-      char* end = nullptr;
-      const long long x = std::strtoll(item.c_str(), &end, 10);
-      if (errno != 0 || end == item.c_str() || *end != '\0') {
+      int64_t x = 0;
+      if (!ParseInt64(item, &x)) {
         Fail("bad integer list for '" + key + "': " + v);
         return out;
       }
@@ -197,15 +227,26 @@ Result<std::vector<ImportedAnswer>> DecodeAnswers(const std::string& text) {
   std::istringstream in(text);
   std::string item;
   while (std::getline(in, item, ';')) {
-    ImportedAnswer a;
-    int code = 0;
-    if (std::sscanf(item.c_str(), "%d:%d:%d:%d", &a.attr, &a.u, &a.v,
-                    &code) != 4 ||
-        code < 0 || code > 2) {
+    // Exactly four ':'-separated ints, attr:u:v:answer-code.
+    int fields[4] = {0, 0, 0, 0};
+    size_t begin = 0;
+    bool ok = true;
+    for (int i = 0; i < 4 && ok; ++i) {
+      const size_t colon = item.find(':', begin);
+      const bool last = i == 3;
+      if (last != (colon == std::string::npos)) {
+        ok = false;
+        break;
+      }
+      const size_t end = last ? item.size() : colon;
+      ok = ParseInt(item.substr(begin, end - begin), &fields[i]);
+      begin = end + 1;
+    }
+    if (!ok || fields[3] < 0 || fields[3] > 2) {
       return Status::IOError("bad answer entry '" + item + "'");
     }
-    a.answer = static_cast<Answer>(code);
-    out.push_back(a);
+    out.push_back(ImportedAnswer{fields[0], fields[1], fields[2],
+                                 static_cast<Answer>(fields[3])});
   }
   return out;
 }
@@ -469,6 +510,31 @@ Result<ShardResult> DecodeShardResult(const std::string& text) {
     return Status::IOError("bad shard result: " + f.error());
   }
   return r;
+}
+
+Status ValidateShardResult(const ShardResult& result, int num_tuples) {
+  const auto in_dataset = [num_tuples](int id) {
+    return id >= 0 && id < num_tuples;
+  };
+  for (const std::vector<int>* ids : {&result.skyline, &result.undetermined}) {
+    for (const int id : *ids) {
+      if (!in_dataset(id)) {
+        return Status::IOError("shard result names tuple " +
+                               std::to_string(id) + " outside a dataset of " +
+                               std::to_string(num_tuples));
+      }
+    }
+  }
+  const std::set<int> candidates(result.skyline.begin(),
+                                 result.skyline.end());
+  for (const ImportedAnswer& a : result.answers) {
+    if (candidates.count(a.u) == 0 || candidates.count(a.v) == 0) {
+      return Status::IOError("shard answer " + std::to_string(a.u) + ":" +
+                             std::to_string(a.v) +
+                             " names a tuple outside the shard's candidates");
+    }
+  }
+  return Status::OK();
 }
 
 Result<std::string> ReadFileToString(const std::string& path) {

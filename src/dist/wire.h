@@ -75,6 +75,11 @@ Result<ShardSpec> DecodeShardSpec(const std::string& text);
 std::string EncodeShardResult(const ShardResult& result);
 Result<ShardResult> DecodeShardResult(const std::string& text);
 
+/// IOError unless every skyline/undetermined id of a decoded result lies in
+/// [0, num_tuples) and every answer joins two of the shard's candidates
+/// (its skyline): what the coordinator's merge indexes by.
+Status ValidateShardResult(const ShardResult& result, int num_tuples);
+
 /// Reads/writes a whole file. WriteFileAtomic goes through path.tmp +
 /// rename so a reader never observes a half-written file.
 Result<std::string> ReadFileToString(const std::string& path);

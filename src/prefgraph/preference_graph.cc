@@ -1,5 +1,6 @@
 #include "prefgraph/preference_graph.h"
 
+#include <algorithm>
 #include <string>
 
 namespace crowdsky {
@@ -9,13 +10,10 @@ PreferenceGraph::PreferenceGraph(int num_nodes, ContradictionPolicy policy)
   CROWDSKY_CHECK(num_nodes >= 0);
   const auto un = static_cast<size_t>(n_);
   parent_.resize(un);
-  desc_.assign(un, DynamicBitset(un));
   anc_.assign(un, DynamicBitset(un));
-  members_.assign(un, DynamicBitset(un));
-  for (int v = 0; v < n_; ++v) {
-    parent_[static_cast<size_t>(v)] = v;
-    members_[static_cast<size_t>(v)].Set(static_cast<size_t>(v));
-  }
+  out_.resize(un);
+  in_.resize(un);
+  for (int v = 0; v < n_; ++v) parent_[static_cast<size_t>(v)] = v;
 }
 
 int PreferenceGraph::Find(int v) const {
@@ -31,7 +29,7 @@ int PreferenceGraph::Find(int v) const {
 bool PreferenceGraph::Prefers(int u, int v) const {
   const auto ru = static_cast<size_t>(Find(u));
   const auto rv = static_cast<size_t>(Find(v));
-  return ru != rv && desc_[ru].Test(rv);
+  return ru != rv && anc_[rv].Test(ru);
 }
 
 bool PreferenceGraph::Equivalent(int u, int v) const {
@@ -40,25 +38,66 @@ bool PreferenceGraph::Equivalent(int u, int v) const {
 
 void PreferenceGraph::InsertEdgeClosure(int ru, int rv) {
   const auto u = static_cast<size_t>(ru);
-  const auto v = static_cast<size_t>(rv);
-  // Every ancestor of u (and u itself) now reaches v and v's descendants;
-  // every descendant of v (and v itself) is now reached from u and u's
-  // ancestors. anc_[u] / desc_[v] are not modified by the opposite loop, so
-  // no snapshots are needed.
-  desc_[u].OrWithAndSet(desc_[v], v);
-  anc_[u].ForEachSetBit(
-      [this, v](size_t a) { desc_[a].OrWithAndSet(desc_[v], v); });
-  anc_[v].OrWithAndSet(anc_[u], u);
-  desc_[v].ForEachSetBit(
-      [this, u](size_t d) { anc_[d].OrWithAndSet(anc_[u], u); });
+  // Forward: the nodes rv reaches whose rows lack ru. Bit ru of a row is
+  // the visited mark, and the search stops at a row that already has it:
+  // that node's descendants have ru (and all of ru's ancestors) already.
+  found_.clear();
+  stack_.assign(1, rv);
+  anc_[static_cast<size_t>(rv)].Set(u);
+  while (!stack_.empty()) {
+    const int y = stack_.back();
+    stack_.pop_back();
+    found_.push_back(y);
+    for (const int z : out_[static_cast<size_t>(y)]) {
+      DynamicBitset& row = anc_[static_cast<size_t>(z)];
+      if (!row.Test(u)) {
+        row.Set(u);
+        stack_.push_back(z);
+      }
+    }
+  }
+  // Backward, one row at a time: the ancestors of ru that row y lacks.
+  // A row that already has an ancestor has all of that ancestor's
+  // ancestors too, so the search stops there.
+  for (const int y : found_) {
+    DynamicBitset& row = anc_[static_cast<size_t>(y)];
+    stack_.assign(1, ru);
+    while (!stack_.empty()) {
+      const int x = stack_.back();
+      stack_.pop_back();
+      for (const int w : in_[static_cast<size_t>(x)]) {
+        if (!row.Test(static_cast<size_t>(w))) {
+          row.Set(static_cast<size_t>(w));
+          stack_.push_back(w);
+        }
+      }
+    }
+  }
+}
+
+void PreferenceGraph::CollectDescendants(int r) {
+  DynamicBitset seen(static_cast<size_t>(n_));
+  found_.clear();
+  stack_.assign(1, r);
+  while (!stack_.empty()) {
+    const int y = stack_.back();
+    stack_.pop_back();
+    for (const int z : out_[static_cast<size_t>(y)]) {
+      if (!seen.Test(static_cast<size_t>(z))) {
+        seen.Set(static_cast<size_t>(z));
+        found_.push_back(z);
+        stack_.push_back(z);
+      }
+    }
+  }
 }
 
 Status PreferenceGraph::AddPreference(int u, int v) {
   CROWDSKY_DCHECK(u >= 0 && u < n_ && v >= 0 && v < n_);
   const int ru = Find(u);
   const int rv = Find(v);
-  if (ru == rv || desc_[static_cast<size_t>(rv)].Test(
-                      static_cast<size_t>(ru))) {
+  if (ru == rv || anc_[static_cast<size_t>(ru)].Test(
+                      static_cast<size_t>(rv))) {
     // u and v already equal, or v already preferred over u.
     if (policy_ == ContradictionPolicy::kFail) {
       return Status::Contradiction(
@@ -68,9 +107,11 @@ Status PreferenceGraph::AddPreference(int u, int v) {
     ++contradictions_;
     return Status::OK();
   }
-  if (desc_[static_cast<size_t>(ru)].Test(static_cast<size_t>(rv))) {
+  if (anc_[static_cast<size_t>(rv)].Test(static_cast<size_t>(ru))) {
     return Status::OK();  // already implied
   }
+  out_[static_cast<size_t>(ru)].push_back(rv);
+  in_[static_cast<size_t>(rv)].push_back(ru);
   InsertEdgeClosure(ru, rv);
   ++edges_;
   return Status::OK();
@@ -83,7 +124,7 @@ Status PreferenceGraph::AddEquivalence(int u, int v) {
   if (ru == rv) return Status::OK();
   const auto sru = static_cast<size_t>(ru);
   const auto srv = static_cast<size_t>(rv);
-  if (desc_[sru].Test(srv) || desc_[srv].Test(sru)) {
+  if (anc_[sru].Test(srv) || anc_[srv].Test(sru)) {
     if (policy_ == ContradictionPolicy::kFail) {
       return Status::Contradiction(
           "equivalence " + std::to_string(u) + " ~ " + std::to_string(v) +
@@ -98,29 +139,33 @@ Status PreferenceGraph::AddEquivalence(int u, int v) {
   const auto srep = static_cast<size_t>(rep);
   const auto soth = static_cast<size_t>(other);
   parent_[soth] = rep;
-  members_[srep].OrWith(members_[soth]);
 
-  // Rewrite bit `other` -> `rep` in every row that referenced it, before
-  // combining the rows themselves.
-  anc_[soth].ForEachSetBit([this, soth, srep](size_t a) {
-    desc_[a].Reset(soth);
-    desc_[a].Set(srep);
-  });
-  desc_[soth].ForEachSetBit([this, soth, srep](size_t d) {
-    anc_[d].Reset(soth);
-    anc_[d].Set(srep);
-  });
-  desc_[srep].OrWith(desc_[soth]);
+  // Rewrite `other` -> `rep` in the edge lists, then hand other's edges to
+  // rep. The two were incomparable, so no self-loop appears.
+  for (const int x : in_[soth]) {
+    std::vector<int>& succ = out_[static_cast<size_t>(x)];
+    std::replace(succ.begin(), succ.end(), other, rep);
+  }
+  for (const int z : out_[soth]) {
+    std::vector<int>& pred = in_[static_cast<size_t>(z)];
+    std::replace(pred.begin(), pred.end(), other, rep);
+  }
+  out_[srep].insert(out_[srep].end(), out_[soth].begin(), out_[soth].end());
+  in_[srep].insert(in_[srep].end(), in_[soth].begin(), in_[soth].end());
+  std::vector<int>().swap(out_[soth]);
+  std::vector<int>().swap(in_[soth]);
   anc_[srep].OrWith(anc_[soth]);
-  desc_[soth].ClearAll();
   anc_[soth].ClearAll();
 
   // The merge can create new transitive paths (x -> ru merged with rv -> y
-  // gives x -> y): propagate the combined rows outward.
-  anc_[srep].ForEachSetBit(
-      [this, srep](size_t a) { desc_[a].OrWith(desc_[srep]); });
-  desc_[srep].ForEachSetBit(
-      [this, srep](size_t d) { anc_[d].OrWith(anc_[srep]); });
+  // gives x -> y), and every such path runs through the merged class: each
+  // descendant takes the class's ancestors, with bit `other` renamed.
+  CollectDescendants(rep);
+  for (const int d : found_) {
+    DynamicBitset& row = anc_[static_cast<size_t>(d)];
+    row.Reset(soth);
+    row.OrWithAndSet(anc_[srep], srep);
+  }
   ++merges_;
   return Status::OK();
 }
@@ -138,17 +183,6 @@ bool PreferenceGraph::AnyStrictlyPrefers(const DynamicBitset& ids,
     scratch_.Set(static_cast<size_t>(Find(static_cast<int>(id))));
   });
   return anc_[rv].Intersects(scratch_);
-}
-
-bool PreferenceGraph::AnyWeaklyPrefers(const DynamicBitset& ids,
-                                       int v) const {
-  const auto rv = static_cast<size_t>(Find(v));
-  // Some other member of v's class present in ids?
-  if (members_[rv].IntersectionCount(ids) >
-      (ids.Test(static_cast<size_t>(v)) ? 1u : 0u)) {
-    return true;
-  }
-  return AnyStrictlyPrefers(ids, v);
 }
 
 }  // namespace crowdsky

@@ -6,9 +6,13 @@
 // preferred" answers merge nodes into equivalence classes. Transitivity is
 // the whole point of T — CrowdSky's pruning rules P2/P3 skip any question
 // whose answer is already implied — so reachability must be cheap: we
-// maintain the full transitive closure incrementally (Italiano-style) with
-// one ancestor and one descendant bitset per node, giving O(1) Prefers()
-// and word-parallel "does anything in this set precede v" queries.
+// keep one ancestor bitset per class representative (the full transitive
+// closure, read side only), giving O(1) Prefers() and word-parallel "does
+// anything in this set precede v" queries. The rows are maintained
+// Italiano-style by pruned search over the direct edges: an insert u -> v
+// walks forward from v only to the nodes u does not reach yet, and for
+// each of them walks backward from u only to the ancestors that row still
+// lacks, so an insert costs in proportion to the pairs it adds.
 //
 // With imperfect workers, an answer may contradict the closure (a cycle) or
 // an equivalence (equal vs. already strictly ordered). The contradiction
@@ -18,6 +22,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "common/bitset.h"
 #include "common/status.h"
@@ -64,8 +69,6 @@ class PreferenceGraph {
   /// True iff some node in `ids` (a bitset over node ids, excluding v
   /// itself) is strictly preferred over v.
   bool AnyStrictlyPrefers(const DynamicBitset& ids, int v) const;
-  /// True iff some node in `ids` other than v is weakly preferred over v.
-  bool AnyWeaklyPrefers(const DynamicBitset& ids, int v) const;
 
   /// Union-find representative of v's equivalence class.
   int representative(int v) const { return Find(v); }
@@ -79,20 +82,33 @@ class PreferenceGraph {
 
  private:
   int Find(int v) const;
+  /// Adds `ru` and every ancestor of `ru` to the row of every node that
+  /// `rv` reaches and `ru` does not yet; the edge ru -> rv is already in
+  /// the adjacency lists.
   void InsertEdgeClosure(int ru, int rv);
+  /// Every representative reachable from `r` (excluding `r`), into
+  /// `found_`.
+  void CollectDescendants(int r);
 
   int n_;
   ContradictionPolicy policy_;
   // Union-find parent; mutable for path halving in const lookups.
   mutable std::vector<int> parent_;
-  // Closure rows, indexed by representative; bits are representative ids.
-  std::vector<DynamicBitset> desc_;
+  // Closure rows, indexed by representative; bit x of anc_[y] means the
+  // representative x strictly precedes y. Rows are upward-closed: an
+  // ancestor's ancestors are in the row too.
   std::vector<DynamicBitset> anc_;
-  // Class membership in original-id space, indexed by representative.
-  std::vector<DynamicBitset> members_;
+  // Accepted (non-implied) strict edges between representatives: out_[x]
+  // holds y for every edge x -> y, in_[y] holds x. Their transitive
+  // closure is exactly anc_.
+  std::vector<std::vector<int>> out_;
+  std::vector<std::vector<int>> in_;
   int64_t contradictions_ = 0;
   int64_t edges_ = 0;
   int64_t merges_ = 0;
+  // Search scratch, kept to avoid per-insert allocation.
+  std::vector<int> stack_;
+  std::vector<int> found_;
   // Scratch for mask canonicalization when merges have occurred.
   mutable DynamicBitset scratch_;
 };

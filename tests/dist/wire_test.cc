@@ -192,6 +192,50 @@ TEST(WireTest, RejectsOutOfRangeCodesAndNarrowedIntegers) {
   }
 }
 
+// Id lists and answer entries are ints on the wire: a value that does not
+// fit, or an entry with junk around its four fields, is a decode error
+// rather than a narrowed or half-parsed id.
+TEST(WireTest, RejectsNarrowedIdsAndMalformedAnswers) {
+  ShardResult r;
+  r.ok = true;
+  const std::string base = EncodeShardResult(r);
+  ASSERT_TRUE(DecodeShardResult(base + "skyline=3,7\n").ok());
+  ASSERT_TRUE(DecodeShardResult(base + "answers=0:-1:2:0;1:3:4:2\n").ok());
+  for (const char* bad :
+       {"skyline=4294967297,7", "undetermined=-2147483649",
+        "skyline=1,2147483648", "answers=0:1:2:0x", "answers=0:1:2",
+        "answers=0:1:2:0:1", "answers=0:1:2:0:", "answers=0:4294967297:2:0",
+        "answers=0: 1:2:0", "answers=0:1::0", "answers=0:1:2:+1",
+        "answers=;0:1:2:0"}) {
+    const Result<ShardResult> decoded = DecodeShardResult(base + bad + "\n");
+    EXPECT_TRUE(decoded.status().IsIOError()) << bad;
+  }
+}
+
+// What decodes can still name tuples the merge cannot index: the
+// coordinator rejects ids outside the dataset and answers that do not
+// join two of the shard's candidates.
+TEST(WireTest, ValidateShardResultChecksIdsAgainstDatasetAndCandidates) {
+  ShardResult r;
+  r.ok = true;
+  r.skyline = {0, 4, 9};
+  r.undetermined = {4};
+  r.answers = {{0, 0, 4, Answer::kFirstPreferred},
+               {1, 9, 4, Answer::kEqual}};
+  EXPECT_TRUE(ValidateShardResult(r, 10).ok());
+
+  EXPECT_TRUE(ValidateShardResult(r, 9).IsIOError());  // 9 is outside
+  ShardResult negative = r;
+  negative.undetermined = {-1};
+  EXPECT_TRUE(ValidateShardResult(negative, 10).IsIOError());
+
+  ShardResult foreign = r;
+  foreign.answers.push_back({0, 4, 5, Answer::kSecondPreferred});
+  EXPECT_TRUE(ValidateShardResult(foreign, 10).IsIOError());
+  foreign.answers.back() = {0, 3, 9, Answer::kFirstPreferred};
+  EXPECT_TRUE(ValidateShardResult(foreign, 10).IsIOError());
+}
+
 TEST(WireTest, WriteFileAtomicLeavesNoTmpAndRoundTrips) {
   const std::string path = crowdsky::testing::FreshTempPath("wire.txt");
   ASSERT_TRUE(WriteFileAtomic(path, "hello\nworld\n").ok());

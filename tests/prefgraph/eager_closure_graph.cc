@@ -1,0 +1,122 @@
+#include "prefgraph/eager_closure_graph.h"
+
+#include <string>
+
+namespace crowdsky::testing {
+
+EagerClosureGraph::EagerClosureGraph(int num_nodes,
+                                     ContradictionPolicy policy)
+    : n_(num_nodes), policy_(policy), scratch_(static_cast<size_t>(n_)) {
+  CROWDSKY_CHECK(num_nodes >= 0);
+  const auto un = static_cast<size_t>(n_);
+  parent_.resize(un);
+  desc_.assign(un, DynamicBitset(un));
+  anc_.assign(un, DynamicBitset(un));
+  for (int v = 0; v < n_; ++v) parent_[static_cast<size_t>(v)] = v;
+}
+
+int EagerClosureGraph::Find(int v) const {
+  auto uv = static_cast<size_t>(v);
+  while (parent_[uv] != static_cast<int>(uv)) {
+    parent_[uv] = parent_[static_cast<size_t>(parent_[uv])];
+    uv = static_cast<size_t>(parent_[uv]);
+  }
+  return static_cast<int>(uv);
+}
+
+bool EagerClosureGraph::Prefers(int u, int v) const {
+  const auto ru = static_cast<size_t>(Find(u));
+  const auto rv = static_cast<size_t>(Find(v));
+  return ru != rv && desc_[ru].Test(rv);
+}
+
+void EagerClosureGraph::InsertEdgeClosure(int ru, int rv) {
+  const auto u = static_cast<size_t>(ru);
+  const auto v = static_cast<size_t>(rv);
+  // Every ancestor of u (and u itself) now reaches v and v's descendants;
+  // every descendant of v (and v itself) is now reached from u and u's
+  // ancestors. anc_[u] / desc_[v] are not modified by the opposite loop.
+  desc_[u].OrWithAndSet(desc_[v], v);
+  anc_[u].ForEachSetBit(
+      [this, v](size_t a) { desc_[a].OrWithAndSet(desc_[v], v); });
+  anc_[v].OrWithAndSet(anc_[u], u);
+  desc_[v].ForEachSetBit(
+      [this, u](size_t d) { anc_[d].OrWithAndSet(anc_[u], u); });
+}
+
+Status EagerClosureGraph::AddPreference(int u, int v) {
+  const int ru = Find(u);
+  const int rv = Find(v);
+  if (ru == rv ||
+      desc_[static_cast<size_t>(rv)].Test(static_cast<size_t>(ru))) {
+    if (policy_ == ContradictionPolicy::kFail) {
+      return Status::Contradiction(
+          "preference " + std::to_string(u) + " < " + std::to_string(v) +
+          " contradicts existing order");
+    }
+    ++contradictions_;
+    return Status::OK();
+  }
+  if (desc_[static_cast<size_t>(ru)].Test(static_cast<size_t>(rv))) {
+    return Status::OK();
+  }
+  InsertEdgeClosure(ru, rv);
+  ++edges_;
+  return Status::OK();
+}
+
+Status EagerClosureGraph::AddEquivalence(int u, int v) {
+  const int ru = Find(u);
+  const int rv = Find(v);
+  if (ru == rv) return Status::OK();
+  const auto sru = static_cast<size_t>(ru);
+  const auto srv = static_cast<size_t>(rv);
+  if (desc_[sru].Test(srv) || desc_[srv].Test(sru)) {
+    if (policy_ == ContradictionPolicy::kFail) {
+      return Status::Contradiction(
+          "equivalence " + std::to_string(u) + " ~ " + std::to_string(v) +
+          " contradicts a strict preference");
+    }
+    ++contradictions_;
+    return Status::OK();
+  }
+  const int rep = ru < rv ? ru : rv;
+  const int other = ru < rv ? rv : ru;
+  const auto srep = static_cast<size_t>(rep);
+  const auto soth = static_cast<size_t>(other);
+  parent_[soth] = rep;
+
+  // Rewrite bit `other` -> `rep` in every row that referenced it, then
+  // combine the rows and propagate them outward.
+  anc_[soth].ForEachSetBit([this, soth, srep](size_t a) {
+    desc_[a].Reset(soth);
+    desc_[a].Set(srep);
+  });
+  desc_[soth].ForEachSetBit([this, soth, srep](size_t d) {
+    anc_[d].Reset(soth);
+    anc_[d].Set(srep);
+  });
+  desc_[srep].OrWith(desc_[soth]);
+  anc_[srep].OrWith(anc_[soth]);
+  desc_[soth].ClearAll();
+  anc_[soth].ClearAll();
+  anc_[srep].ForEachSetBit(
+      [this, srep](size_t a) { desc_[a].OrWith(desc_[srep]); });
+  desc_[srep].ForEachSetBit(
+      [this, srep](size_t d) { anc_[d].OrWith(anc_[srep]); });
+  ++merges_;
+  return Status::OK();
+}
+
+bool EagerClosureGraph::AnyStrictlyPrefers(const DynamicBitset& ids,
+                                           int v) const {
+  const auto rv = static_cast<size_t>(Find(v));
+  if (merges_ == 0) return anc_[rv].Intersects(ids);
+  scratch_.ClearAll();
+  ids.ForEachSetBit([this](size_t id) {
+    scratch_.Set(static_cast<size_t>(Find(static_cast<int>(id))));
+  });
+  return anc_[rv].Intersects(scratch_);
+}
+
+}  // namespace crowdsky::testing

@@ -151,17 +151,6 @@ TEST(PreferenceGraphTest, AnyStrictlyPrefersAfterMerges) {
   EXPECT_FALSE(g.AnyStrictlyPrefers(mask, 4));
 }
 
-TEST(PreferenceGraphTest, AnyWeaklyPrefersCountsEquivalents) {
-  PreferenceGraph g(6);
-  ASSERT_TRUE(g.AddEquivalence(1, 2).ok());
-  DynamicBitset mask(6);
-  mask.Set(1);
-  EXPECT_TRUE(g.AnyWeaklyPrefers(mask, 2));   // 1 ~ 2
-  EXPECT_FALSE(g.AnyWeaklyPrefers(mask, 1));  // only 1 itself... not in mask
-  mask.Set(2);
-  EXPECT_TRUE(g.AnyWeaklyPrefers(mask, 2));  // 1 is another member
-}
-
 TEST(PreferenceGraphTest, ZeroAndOneNodeGraphs) {
   PreferenceGraph g0(0);
   EXPECT_EQ(g0.size(), 0);
