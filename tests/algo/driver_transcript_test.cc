@@ -16,6 +16,7 @@
 
 #include "algo/crowdsky_algorithm.h"
 #include "core/engine.h"
+#include "core/governor.h"
 #include "crowd/marketplace.h"
 #include "crowd/oracle.h"
 #include "crowd/voting.h"
@@ -178,6 +179,58 @@ TEST(DriverTranscriptTest, SeededFaultPlanWithRetries) {
     RetryPolicy retry;
     retry.max_retries = 1;  // small enough that some questions give up
     return RunAndDigest(d, data, &oracle, {}, /*budget=*/-1, &retry);
+  });
+}
+
+// Capped runs. After the cap, every remaining evaluator visits the known
+// probe pairs in P3 order until it meets an unknown one, and then finalizes
+// its tuple as undetermined. The paid transcript alone does not see that
+// walk, so this digest also covers the free lookups and the undetermined
+// tuples.
+uint64_t CappedDigest(const CrowdSession& session, const AlgoResult& r) {
+  Fnv1a h;
+  h.Add(Digest(session.paid_questions(), session.questions_per_round(),
+               r.skyline));
+  h.AddI(r.free_lookups);
+  h.AddI(r.incomplete_tuples);
+  const std::vector<int>& undetermined = r.completeness.undetermined_tuples;
+  h.AddI(static_cast<int64_t>(undetermined.size()));
+  for (const int t : undetermined) h.AddI(t);
+  return h.hash();
+}
+
+/// IND n=400 under a simulated crowd whose dynamic voting reads each
+/// question's freq(u, v), so the digest also pins the frequencies asked
+/// with.
+uint64_t RunCapped(const Driver& d, int64_t question_budget,
+                   double max_cost_usd) {
+  const Dataset data = Generate(400, 1, DataDistribution::kIndependent, 11);
+  SimulatedCrowd oracle(data, WorkerModel{},
+                        VotingPolicy::MakeDynamicWithThresholds(5, 4, 40),
+                        29);
+  CrowdSession session(&oracle);
+  if (question_budget >= 0) session.SetQuestionBudget(question_budget);
+  GovernorOptions gov_opt;
+  gov_opt.max_cost_usd = max_cost_usd;
+  RunGovernor governor(gov_opt, AmtCostModel{}, /*max_retries=*/0);
+  if (gov_opt.enabled()) session.AttachGovernor(&governor);
+  const AlgoResult r = d.run(data, &session, {});
+  return CappedDigest(session, r);
+}
+
+TEST(DriverTranscriptTest, Independent400QuestionBudget) {
+  const Expected want{0x5814385dacefc876ULL, 0xa81abc1f243a535aULL,
+                      0x069d2ff46913a402ULL};
+  ExpectDigests(want, [](const Driver& d) {
+    return RunCapped(d, /*question_budget=*/150, /*max_cost_usd=*/0.0);
+  });
+}
+
+TEST(DriverTranscriptTest, Independent400DollarCap) {
+  const Expected want{0x3a077d36726fad0aULL, 0x8a85630221a6d3c5ULL,
+                      0xc6a0163f58a90c09ULL};
+  ExpectDigests(want, [](const Driver& d) {
+    return RunCapped(d, /*question_budget=*/-1, /*max_cost_usd=*/6.0);
   });
 }
 
