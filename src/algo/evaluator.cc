@@ -1,6 +1,7 @@
 #include "algo/evaluator.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace crowdsky {
 
@@ -25,6 +26,90 @@ void ReduceDominatingSet(const PruningConfig& pruning,
   }
 }
 
+namespace {
+
+/// Reverse P3 order. P3 asks the highest pruning power first (Section
+/// 3.4), ties by id for determinism; the queue hands pairs out from the
+/// back of a chunk sorted by this.
+bool ProbesAfter(const ProbePairQueue::Pair& a,
+                 const ProbePairQueue::Pair& b) {
+  if (a.freq != b.freq) return a.freq < b.freq;
+  if (a.u != b.u) return a.u > b.u;
+  return a.v > b.v;
+}
+
+// Batch sizes: the first pop of a large DS(t) scores a few bands and sorts
+// a few pairs; a walk that keeps going doubles both.
+constexpr int64_t kFirstScoreBatch = 32;
+constexpr size_t kFirstChunk = 8;
+
+}  // namespace
+
+void ProbePairQueue::Reset(const DominanceStructure& structure,
+                           std::vector<int> members) {
+  Clear();
+  structure_ = &structure;
+  order_ = std::move(members);
+  std::sort(order_.begin(), order_.end(), [&structure](int a, int b) {
+    const int da = structure.dominatee_count(a);
+    const int db = structure.dominatee_count(b);
+    if (da != db) return da > db;
+    return a < b;
+  });
+  chunk_ = kFirstChunk;
+}
+
+void ProbePairQueue::ScoreBands(const DynamicBitset& live, int64_t target) {
+  for (; band_ < order_.size() && scored_ < target; ++band_) {
+    const int b = order_[band_];
+    if (!live.Test(static_cast<size_t>(b))) continue;
+    for (size_t i = 0; i < band_; ++i) {
+      const int a = order_[i];
+      if (!live.Test(static_cast<size_t>(a))) continue;
+      pairs_.push_back(
+          {std::min(a, b), std::max(a, b), structure_->Frequency(a, b)});
+      ++scored_;
+    }
+  }
+}
+
+const ProbePairQueue::Pair* ProbePairQueue::Refill(const DynamicBitset& live) {
+  const auto dead = [&live](const Pair& p) {
+    return !live.Test(static_cast<size_t>(p.u)) ||
+           !live.Test(static_cast<size_t>(p.v));
+  };
+  pairs_.erase(std::remove_if(pairs_.begin(), pairs_.end(), dead),
+               pairs_.end());
+  while (true) {
+    // A band whose lead is gone has no live pair left to score.
+    while (band_ < order_.size() &&
+           !live.Test(static_cast<size_t>(order_[band_]))) {
+      ++band_;
+    }
+    const bool all_scored = band_ >= order_.size();
+    const size_t bound =
+        all_scored ? 0
+                   : static_cast<size_t>(
+                         structure_->dominatee_count(order_[band_]));
+    // Pairs that precede every unscored pair move to the tail.
+    const auto qualifying = std::partition(
+        pairs_.begin(), pairs_.end(),
+        [&](const Pair& p) { return !all_scored && p.freq <= bound; });
+    const auto count = static_cast<size_t>(pairs_.end() - qualifying);
+    if (count > 0) {
+      const auto chunk_start =
+          pairs_.end() - static_cast<ptrdiff_t>(std::min(count, chunk_));
+      std::nth_element(qualifying, chunk_start, pairs_.end(), ProbesAfter);
+      std::sort(chunk_start, pairs_.end(), ProbesAfter);
+      chunk_begin_ = static_cast<size_t>(chunk_start - pairs_.begin());
+      chunk_ *= 2;
+      return &pairs_.back();
+    }
+    if (all_scored) return nullptr;
+    ScoreBands(live, std::max(kFirstScoreBatch, 2 * scored_));
+  }
+}
+
 TupleEvaluator::TupleEvaluator(int tuple, const DominanceStructure& structure,
                                CrowdKnowledge* knowledge,
                                CrowdSession* session,
@@ -40,27 +125,6 @@ TupleEvaluator::TupleEvaluator(int tuple, const DominanceStructure& structure,
       ds_(structure.dominator_bits(tuple)) {
   CROWDSKY_CHECK(knowledge != nullptr && session != nullptr &&
                  completion != nullptr);
-}
-
-void TupleEvaluator::BuildProbePairs() {
-  const std::vector<int> members = Members();
-  probe_pairs_.clear();
-  probe_idx_ = 0;
-  if (members.size() < 2) return;
-  probe_pairs_.reserve(members.size() * (members.size() - 1) / 2);
-  for (size_t i = 0; i < members.size(); ++i) {
-    for (size_t j = i + 1; j < members.size(); ++j) {
-      probe_pairs_.push_back({members[i], members[j],
-                              structure_.Frequency(members[i], members[j])});
-    }
-  }
-  // Highest pruning power first (Section 3.4); ties by id for determinism.
-  std::stable_sort(probe_pairs_.begin(), probe_pairs_.end(),
-                   [](const ProbePair& a, const ProbePair& b) {
-                     if (a.freq != b.freq) return a.freq > b.freq;
-                     if (a.u != b.u) return a.u < b.u;
-                     return a.v < b.v;
-                   });
 }
 
 bool TupleEvaluator::AskPair(int u, int v, size_t freq, AskMode mode) {
@@ -102,28 +166,30 @@ bool TupleEvaluator::AskPair(int u, int v, size_t freq, AskMode mode) {
 void TupleEvaluator::Finalize(bool is_skyline) {
   phase_ = Phase::kDone;
   is_skyline_ = is_skyline;
+  // ParallelSL keeps finished evaluators until its wave drains.
+  probes_.Clear();
 }
 
 bool TupleEvaluator::Step() {
   CROWDSKY_CHECK_MSG(!done(), "Step() called on a completed evaluator");
   if (phase_ == Phase::kInit) {
     Refresh();
-    if (pruning_.use_p3) BuildProbePairs();
+    if (pruning_.use_p3) probes_.Reset(structure_, Members());
     phase_ = Phase::kProbe;
   }
   if (phase_ == Phase::kProbe) {
-    while (probe_idx_ < probe_pairs_.size()) {
-      const ProbePair pair = probe_pairs_[probe_idx_];
+    while (const ProbePairQueue::Pair* next = probes_.Front(ds_)) {
+      const ProbePairQueue::Pair pair = *next;
       if (!ds_.Test(static_cast<size_t>(pair.u)) ||
           !ds_.Test(static_cast<size_t>(pair.v))) {
-        ++probe_idx_;  // an endpoint was already removed from DS(t)
+        probes_.Pop();  // an endpoint was already removed from DS(t)
         continue;
       }
       if (pruning_.use_p1 &&
           (completion_->nonskyline.Test(static_cast<size_t>(pair.u)) ||
            completion_->nonskyline.Test(static_cast<size_t>(pair.v)))) {
         Refresh();  // a dominator completed since the last refresh
-        ++probe_idx_;
+        probes_.Pop();
         continue;
       }
       AcRelation r = knowledge_->Relation(pair.u, pair.v);
@@ -163,7 +229,7 @@ bool TupleEvaluator::Step() {
           CROWDSKY_DCHECK(paid);
           return true;
       }
-      ++probe_idx_;
+      probes_.Pop();
       if (paid) return true;
     }
     phase_ = Phase::kQuery;
@@ -181,7 +247,10 @@ bool TupleEvaluator::Step() {
     AcRelation r = knowledge_->Relation(s, t_);
     bool paid = false;
     if (r == AcRelation::kUnknown || !pruning_.use_transitivity) {
-      paid = AskPair(s, t_, structure_.Frequency(s, t_), AskMode::kQuery);
+      // D(t) is a subset of D(s) for s in DS(t), so freq(s, t) = |D(t)|.
+      paid = AskPair(s, t_,
+                     static_cast<size_t>(structure_.dominatee_count(t_)),
+                     AskMode::kQuery);
       if (budget_aborted_) {
         Finalize(/*is_skyline=*/!dominated_);
         return paid;

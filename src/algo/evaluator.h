@@ -66,6 +66,68 @@ void ReduceDominatingSet(const PruningConfig& pruning,
                          const CompletionState& completion,
                          const CrowdKnowledge& knowledge, DynamicBitset* ds);
 
+/// \brief P3's probe order (Section 3.4), scored on demand: the pairs
+/// (u, v), u < v, of a dominating set in descending freq(u, v), ties by u
+/// then v ascending.
+///
+/// A budget-denied evaluator visits one or two pairs and stops, so the
+/// queue computes freq only for the pairs the walk can reach next. The
+/// members are ordered by |D(u)| descending (ties by id) as o_0..o_{m-1};
+/// band k holds the pairs (o_i, o_k), i < k. Since freq(u, v) <= |D(v)|,
+/// no pair in band k or later exceeds |D(o_k)|. A scored pair is handed
+/// out only while its freq is strictly above that bound for the first
+/// unscored band, so it precedes every unscored pair and freq ties still
+/// break by (u, v). Bands are scored, and chunks sorted, in geometrically
+/// growing batches.
+class ProbePairQueue {
+ public:
+  struct Pair {
+    int u;
+    int v;
+    size_t freq;
+  };
+
+  /// Starts the order over `members`.
+  void Reset(const DominanceStructure& structure, std::vector<int> members);
+
+  /// The next pair in order, or nullptr once all were handed out. Pairs
+  /// with an endpoint outside `live` when they would be scored are dropped
+  /// unscored (a walk skips them anyway); `live` may only lose members
+  /// between calls.
+  const Pair* Front(const DynamicBitset& live) {
+    if (pairs_.size() > chunk_begin_) return &pairs_.back();
+    return Refill(live);
+  }
+  /// Moves past the pair Front() returned.
+  void Pop() { pairs_.pop_back(); }
+
+  /// Frees all storage; the queue is empty afterwards.
+  void Clear() { *this = ProbePairQueue(); }
+
+  /// How many freq(u, v) values have been computed since Reset().
+  int64_t scored_pairs() const { return scored_; }
+
+ private:
+  const Pair* Refill(const DynamicBitset& live);
+  /// Scores whole bands, skipping dead endpoints, until at least `target`
+  /// pairs are scored or no band is left.
+  void ScoreBands(const DynamicBitset& live, int64_t target);
+
+  const DominanceStructure* structure_ = nullptr;
+  /// Members by |D(u)| descending, ties by id.
+  std::vector<int> order_;
+  /// First unscored band.
+  size_t band_ = 1;
+  /// Scored pairs not yet handed out. [0, chunk_begin_) is in no
+  /// particular order; the chunk being handed out follows it in reverse
+  /// order, so Front() is the last element.
+  std::vector<Pair> pairs_;
+  size_t chunk_begin_ = 0;
+  /// Size of the next chunk.
+  size_t chunk_ = 0;
+  int64_t scored_ = 0;
+};
+
 /// \brief Resumable evaluation of one tuple's skyline membership.
 class TupleEvaluator {
  public:
@@ -102,18 +164,12 @@ class TupleEvaluator {
 
  private:
   enum class Phase { kInit, kProbe, kQuery, kDone };
-  struct ProbePair {
-    int u;
-    int v;
-    size_t freq;
-  };
   enum class AskMode { kProbe, kQuery };
 
   /// P1 + P2 refresh of the current dominating-set members.
   void Refresh() {
     ReduceDominatingSet(pruning_, *completion_, *knowledge_, &ds_);
   }
-  void BuildProbePairs();
   /// Asks crowd-attribute questions for (u, v) per the multi-attribute
   /// strategy; records answers; sets budget_aborted_ when the session's
   /// budget runs out mid-pair and last_ask_unresolved_ when any attribute
@@ -133,8 +189,7 @@ class TupleEvaluator {
 
   Phase phase_ = Phase::kInit;
   DynamicBitset ds_;
-  std::vector<ProbePair> probe_pairs_;
-  size_t probe_idx_ = 0;
+  ProbePairQueue probes_;
   bool is_skyline_ = false;
   /// Set when t is found dominated while P1's early break is disabled
   /// (Example 3 counts every question in Q(t) even after t's fate is

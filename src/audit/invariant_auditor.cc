@@ -240,6 +240,13 @@ void InvariantAuditor::AuditDominanceStructure(
                   "dominance.dominatees",
                   "D(" + std::to_string(t) +
                       ") disagrees with brute-force dominance");
+    const int brute_d_count = static_cast<int>(brute_dominatees[st].Count());
+    report->Check(structure.dominatee_count(t) == brute_d_count,
+                  "dominance.dominatee_count",
+                  "|D(" + std::to_string(t) + ")| = " +
+                      std::to_string(structure.dominatee_count(t)) +
+                      " but brute force counts " +
+                      std::to_string(brute_d_count));
     report->Check(structure.dominating_set_size(t) == brute_ds_size[st],
                   "dominance.ds_size",
                   "|DS(" + std::to_string(t) + ")| = " +

@@ -27,6 +27,7 @@ DominanceStructure::DominanceStructure(const PreferenceMatrix& known,
   dominatees_.assign(un, DynamicBitset(un));
   dominators_.assign(un, DynamicBitset(un));
   ds_size_.assign(un, 0);
+  dominatee_count_.assign(un, 0);
   layer_of_.assign(un, 0);
   direct_dominators_.resize(un);
   ThreadPool& pool = ThreadPool::Global();
@@ -118,6 +119,7 @@ DominanceStructure::DominanceStructure(const PreferenceMatrix& known,
   pool.ParallelFor(0, un, 64, [&](size_t lo, size_t hi) {
     for (size_t t = lo; t < hi; ++t) {
       ds_size_[t] = static_cast<int>(dominators_[t].Count());
+      dominatee_count_[t] = static_cast<int>(dominatees_[t].Count());
     }
   });
 

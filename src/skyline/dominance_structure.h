@@ -61,6 +61,11 @@ class DominanceStructure {
   const DynamicBitset& dominatees(int u) const {
     return dominatees_[static_cast<size_t>(u)];
   }
+  /// |D(u)|. Bounds every freq(u, v) and freq(v, u), and equals
+  /// freq(s, u) for every s in DS(u), since D(u) is a subset of D(s).
+  int dominatee_count(int u) const {
+    return dominatee_count_[static_cast<size_t>(u)];
+  }
 
   /// True iff s dominates t in AK (O(1) bit test).
   bool Dominates(int s, int t) const {
@@ -103,6 +108,7 @@ class DominanceStructure {
   std::vector<DynamicBitset> dominatees_;
   std::vector<DynamicBitset> dominators_;
   std::vector<int> ds_size_;
+  std::vector<int> dominatee_count_;
   std::vector<int> evaluation_order_;
   std::vector<int> known_skyline_;
   std::vector<int> layer_of_;

@@ -164,6 +164,23 @@ TEST(DominanceAuditTest, ReportsStructureBuiltFromDifferentData) {
       << report.ToString();
 }
 
+TEST(DominanceAuditTest, ReportsDominateeCountOfDifferentData) {
+  GeneratorOptions gen;
+  gen.cardinality = 60;
+  gen.num_known = 3;
+  gen.num_crowd = 1;
+  gen.seed = 11;
+  const Dataset ds_a = GenerateDataset(gen).ValueOrDie();
+  gen.seed = 12;
+  const Dataset ds_b = GenerateDataset(gen).ValueOrDie();
+  const DominanceStructure structure(PreferenceMatrix::FromKnown(ds_a));
+  AuditReport report;
+  InvariantAuditor().AuditDominanceStructure(
+      structure, PreferenceMatrix::FromKnown(ds_b), &report);
+  EXPECT_TRUE(HasViolation(report, "dominance.dominatee_count"))
+      << report.ToString();
+}
+
 TEST(DominanceAuditTest, ReportsSizeMismatch) {
   GeneratorOptions gen;
   gen.cardinality = 20;

@@ -193,6 +193,38 @@ TEST(DominanceStructureTest, FrequencyMatchesBruteForce) {
   }
 }
 
+// The evaluator's query phase asks (s, t) for s in DS(t) with
+// freq(s, t) = |D(t)|, read from dominatee_count instead of an n/64-word
+// AND-popcount. Every backend must agree.
+TEST(DominanceStructureTest, QueryPairFrequencyIsDominateeCount) {
+  for (const DataDistribution dist :
+       {DataDistribution::kIndependent, DataDistribution::kAntiCorrelated,
+        DataDistribution::kCorrelated}) {
+    GeneratorOptions opt;
+    opt.cardinality = 400;
+    opt.num_known = 3;
+    opt.num_crowd = 0;
+    opt.distribution = dist;
+    opt.seed = 31;
+    const Dataset ds = GenerateDataset(opt).ValueOrDie();
+    const PreferenceMatrix m = PreferenceMatrix::FromKnown(ds);
+    for (const KernelBackend backend :
+         {KernelBackend::kLegacy, KernelBackend::kScalar}) {
+      const DominanceStructure s(m, backend);
+      for (int t = 0; t < s.size(); ++t) {
+        ASSERT_EQ(static_cast<size_t>(s.dominatee_count(t)),
+                  s.dominatees(t).Count())
+            << DataDistributionName(dist) << " t=" << t;
+        for (const int u : s.DominatorsOf(t)) {
+          ASSERT_EQ(s.Frequency(u, t),
+                    static_cast<size_t>(s.dominatee_count(t)))
+              << DataDistributionName(dist) << " s=" << u << " t=" << t;
+        }
+      }
+    }
+  }
+}
+
 TEST(DominanceStructureTest, DuplicateRowsDoNotDominate) {
   auto ds = Dataset::Make(Schema::MakeSynthetic(2, 1),
                           {{1, 1, 0.1}, {1, 1, 0.9}, {2, 2, 0.5}});
