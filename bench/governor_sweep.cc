@@ -7,12 +7,17 @@
 //  * round cap — the same curve against the latency budget,
 //  * deadline — wall-clock deadlines through the opt-in nondeterministic
 //    path (cells vary with machine speed; recorded for the schema and the
-//    termination-reason accounting, not for regression comparison).
+//    termination-reason accounting, not for regression comparison),
+//  * capped scale — machine time of a ParallelSL query on IND data under
+//    a $5 cap as n grows. Once the cap is hit every remaining tuple is
+//    finalized undetermined, so this measures what a denied evaluator
+//    costs (wall_s varies with the machine, like the deadline cells).
 //
 // Under a perfect oracle recall stays 1.0 at every cap (the governor only
 // leaves undecided tuples *in* the skyline, never evicts true ones), so
 // the quality curve is precision climbing toward 1.0 as the cap covers
 // more of the question stream. Emits BENCH_governor.json.
+#include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -185,6 +190,42 @@ int main() {
     dtable.PrintCell(static_cast<int64_t>(
         cell.reason == TerminationReason::kCompleted ? 0 : 1));
     dtable.EndRow();
+  }
+
+  Section("capped scale: ParallelSL on IND under a $5 cap");
+  Table ctable({"n", "wall s", "spent $", "questions", "undetermined"});
+  ctable.PrintHeader();
+  for (const int base_n : {2000, 3000, 5000}) {
+    GeneratorOptions gen;
+    gen.cardinality = Scaled(base_n);
+    gen.num_known = 4;
+    gen.num_crowd = 1;
+    gen.seed = 42;
+    const Dataset capped_data = GenerateDataset(gen).ValueOrDie();
+    EngineOptions opt = BaseOptions(Algorithm::kParallelSL);
+    opt.governor.max_cost_usd = 5.0;
+    CellResult cell;
+    double wall_s = 0.0;
+    for (int run = 0; run < runs; ++run) {
+      const auto start = std::chrono::steady_clock::now();
+      cell = RunCell(capped_data, opt);
+      wall_s = std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - start)
+                   .count();
+      BenchReport::Get().AddCell(
+          "capped_scale", "n=" + std::to_string(gen.cardinality),
+          AlgorithmName(Algorithm::kParallelSL), run,
+          {{"wall_s", wall_s},
+           {"spent_usd", cell.spent},
+           {"questions", static_cast<double>(cell.questions)},
+           {"incomplete", static_cast<double>(cell.incomplete)}});
+    }
+    ctable.PrintCell(static_cast<int64_t>(gen.cardinality));
+    ctable.PrintCell(wall_s, 3);
+    ctable.PrintCell(cell.spent, 2);
+    ctable.PrintCell(cell.questions);
+    ctable.PrintCell(cell.incomplete);
+    ctable.EndRow();
   }
 
   return 0;
